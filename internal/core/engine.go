@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/join"
@@ -556,22 +557,38 @@ func allIndices(n int) []int {
 }
 
 // sortBySum returns a copy of idx ordered by ascending attribute sum of the
-// referenced points, so likely dominators are probed first. Sums are
-// precomputed into a flat entry slice — no map lookups in the comparator.
+// referenced points, so likely dominators are probed first; equal sums keep
+// their input order. Sums are precomputed into a flat entry slice — no map
+// lookups in the comparator.
 func sortBySum(pts [][]float64, idx []int) []int {
-	entries := make([]struct {
-		idx int
-		sum float64
-	}, len(idx))
+	entries := make([]sumEntry, len(idx))
 	for n, i := range idx {
-		s := 0.0
-		for _, v := range pts[i] {
-			s += v
-		}
-		entries[n].idx = i
-		entries[n].sum = s
+		entries[n] = sumEntry{pos: n, idx: i, sum: sumOf(pts[i])}
 	}
-	sort.SliceStable(entries, func(a, b int) bool { return entries[a].sum < entries[b].sum })
+	return sortEntriesBySum(entries)
+}
+
+// sumEntry is one row of a sum ordering: its position in the input list,
+// its row ID, and its attribute sum.
+type sumEntry struct {
+	pos, idx int
+	sum      float64
+}
+
+// sortEntriesBySum orders entries by ascending sum, breaking ties by input
+// position, and returns their row IDs in that order. The comparator mirrors
+// < on sum, so the result is exactly the order a stable sort on sum
+// computes — without sort.SliceStable's reflective swaps and extra passes.
+func sortEntriesBySum(entries []sumEntry) []int {
+	slices.SortFunc(entries, func(a, b sumEntry) int {
+		switch {
+		case a.sum < b.sum:
+			return -1
+		case b.sum < a.sum:
+			return 1
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
 	out := make([]int, len(entries))
 	for n := range entries {
 		out[n] = entries[n].idx

@@ -232,8 +232,11 @@ func sumOf(v []float64) float64 {
 // ones in natural order, this is exactly the stable sort a from-scratch
 // rebuild computes.
 func mergeBySum(sorted, ids []int, sums []float64) []int {
-	tail := append([]int(nil), ids...)
-	sort.SliceStable(tail, func(a, b int) bool { return sums[tail[a]] < sums[tail[b]] })
+	entries := make([]sumEntry, len(ids))
+	for n, id := range ids {
+		entries[n] = sumEntry{pos: n, idx: id, sum: sums[id]}
+	}
+	tail := sortEntriesBySum(entries)
 	merged := make([]int, len(sorted)+len(tail))
 	i, j := len(sorted)-1, len(tail)-1
 	for k := len(merged) - 1; k >= 0; k-- {
@@ -310,6 +313,14 @@ func (r *Resident) Membership(ctx context.Context, q Query, pairs [][2]int) ([]b
 	}
 	return membershipContext(ctx, q, pairs, r)
 }
+
+// RightIndex returns the snapshot's full-R2 join index, probed by R1: its
+// Partners give every R1 row's exact partner set. Within an equality
+// bucket (and across the Cross list) partners are in probe priority —
+// ascending sum, absorbed rows after older ones — not row-ID order; the
+// band permutation is ascending (band, row ID). The index is shared with
+// concurrent Execs: callers must treat it as read-only.
+func (r *Resident) RightIndex() *join.Index { return r.rightIx }
 
 // AnyDominators checks foreign candidate vectors against the resident
 // snapshot's partition, reusing r's join index and base-point tables; see

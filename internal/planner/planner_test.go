@@ -241,12 +241,16 @@ func TestSamplePairsJoinCompatibleAndDistinct(t *testing.T) {
 		if total == 0 {
 			continue
 		}
-		ix, prefix := rankSpace(q)
-		if got := prefix[len(prefix)-1]; got != total {
+		res, err := core.NewResident(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := newRankSpace(q, res)
+		if got := rs.prefix[len(rs.prefix)-1]; got != total {
 			t.Fatalf("trial %d: rank space holds %d pairs, CountPairs says %d", trial, got, total)
 		}
 		m := 1 + rng.Intn(total)
-		pairs := samplePairs(q, ix, prefix, Options{SampleSize: m, Seed: int64(trial + 1)})
+		pairs := rs.samplePairs(Options{SampleSize: m, Seed: int64(trial + 1)})
 		if len(pairs) != m {
 			t.Fatalf("trial %d: sampled %d pairs, want %d", trial, len(pairs), m)
 		}

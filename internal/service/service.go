@@ -695,7 +695,9 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 	}
 	alg := p.alg
 	if p.auto {
-		plan, err := planner.Choose(ctx, q, planner.Options{})
+		// Plan on the snapshot the query is about to run on: the sample
+		// and its membership probes reuse the resident index.
+		plan, err := planner.ChooseResident(ctx, q, res, planner.Options{})
 		switch {
 		case errors.Is(err, planner.ErrEmptyJoin):
 			// Deletes and window expiry can drain the join entirely; that

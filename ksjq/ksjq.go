@@ -213,7 +213,7 @@ func run(ctx context.Context, q Query, opts Options, res *core.Resident) (*Resul
 		}
 		return &Result{Stats: st}, nil
 	}
-	calg, err := resolveAlgorithm(ctx, q, opts, false)
+	calg, err := resolveAlgorithm(ctx, q, opts, false, res)
 	if err != nil {
 		return nil, err
 	}
@@ -227,15 +227,22 @@ func run(ctx context.Context, q Query, opts Options, res *core.Resident) (*Resul
 }
 
 // resolveAlgorithm maps Options to the concrete engine strategy. Auto
-// consults the sampling planner — except when Workers, Emit or a Stream
-// narrow the viable set to Grouping, in which case the planner has no
-// choice left to make and is skipped.
-func resolveAlgorithm(ctx context.Context, q Query, opts Options, stream bool) (core.Algorithm, error) {
+// consults the sampling planner — over res, the prepared snapshot, when
+// there is one — except when Workers, Emit or a Stream narrow the viable
+// set to Grouping, in which case the planner has no choice left to make
+// and is skipped.
+func resolveAlgorithm(ctx context.Context, q Query, opts Options, stream bool, res *core.Resident) (core.Algorithm, error) {
 	if opts.Algorithm == Auto {
 		if opts.Workers > 1 || opts.Emit != nil || stream {
 			return core.Grouping, nil
 		}
-		plan, err := planner.Choose(ctx, q, opts.Planner)
+		var plan *Plan
+		var err error
+		if res != nil {
+			plan, err = planner.ChooseResident(ctx, q, res, opts.Planner)
+		} else {
+			plan, err = planner.Choose(ctx, q, opts.Planner)
+		}
 		if err != nil {
 			return 0, err
 		}

@@ -3,12 +3,14 @@ package ksjq
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/join"
+	"repro/internal/planner"
 )
 
 // collectStream drains a stream into a sorted slice, failing on error.
@@ -474,4 +476,106 @@ func TestPreparedFindKMatchesCold(t *testing.T) {
 	if err != nil || ok != cold[0] {
 		t.Fatalf("IsSkylineMember = (%v, %v), want (%v, nil)", ok, err, cold[0])
 	}
+}
+
+// TestPreparedAutoMatchesChoose pins Prepared.Run with Auto, which plans
+// over the prepared snapshot, to the package-level planner on fresh state:
+// it runs the algorithm ksjq.Choose picks (its work counters equal an
+// explicit run of that algorithm over the same snapshot) and returns
+// byte-identical answers. Instances range from tiny joins to wide joins
+// whose every tuple is a skyline member, so all three algorithms are
+// chosen.
+func TestPreparedAutoMatchesChoose(t *testing.T) {
+	rng := rand.New(rand.NewSource(505))
+	ctx := context.Background()
+	conds := []Condition{Equality, Cross, BandLess, BandLessEq, BandGreater, BandGreaterEq}
+	// work strips the timings from Stats, leaving the counters that
+	// identify which algorithm ran.
+	work := func(st Stats) Stats {
+		st.GroupingTime, st.JoinTime, st.DominatorTime, st.RemainingTime, st.Total = 0, 0, 0, 0, 0
+		return st
+	}
+	chosen := map[Algorithm]bool{}
+	for _, cond := range conds {
+		for trial := 0; trial < 5; trial++ {
+			var q Query
+			switch trial {
+			case 4:
+				// Points on a simplex: no joined tuple fully dominates
+				// another, so at k = width the skyline is the whole join.
+				q = Query{R1: simplexRelation(rng, "r1", 70, 4), R2: simplexRelation(rng, "r2", 70, 4), Spec: Spec{Cond: cond}}
+				q.K = q.Width()
+			default:
+				n := 10 + trial*30
+				q = Query{
+					R1:   randRelation(rng, "r1", n+rng.Intn(20), 2, 1, 1+rng.Intn(3), 5),
+					R2:   randRelation(rng, "r2", n+rng.Intn(20), 2, 1, 1+rng.Intn(3), 5),
+					Spec: Spec{Cond: cond, Agg: Sum},
+				}
+				q.K = q.KMin() + rng.Intn(q.Width()-q.KMin()+1)
+			}
+			label := fmt.Sprintf("cond %v trial %d", cond, trial)
+			plan, err := Choose(ctx, q, PlannerOptions{})
+			if errors.Is(err, planner.ErrEmptyJoin) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: Choose: %v", label, err)
+			}
+			p, err := Prepare(ctx, q, PrepareOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			auto, err := p.Run(ctx, Options{NoCache: true})
+			if err != nil {
+				t.Fatalf("%s: Prepared.Run(Auto): %v", label, err)
+			}
+			alg, err := ParseAlgorithm(plan.Algorithm.Token())
+			if err != nil {
+				t.Fatal(err)
+			}
+			explicit, err := p.Run(ctx, Options{Algorithm: alg, NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePairs(auto.Skyline, explicit.Skyline) {
+				t.Fatalf("%s: Prepared.Run(Auto) answer diverged from %v", label, alg)
+			}
+			if got, want := work(auto.Stats), work(explicit.Stats); got != want {
+				t.Fatalf("%s: Prepared.Run(Auto) did not run %v: counters %+v, want %+v", label, alg, got, want)
+			}
+			cold, err := Run(ctx, q, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePairs(auto.Skyline, cold.Skyline) {
+				t.Fatalf("%s: Prepared.Run(Auto) diverged from Run(Auto)", label)
+			}
+			chosen[alg] = true
+		}
+	}
+	for _, alg := range []Algorithm{Naive, Grouping, DominatorBased} {
+		if !chosen[alg] {
+			t.Errorf("no instance planned %v", alg)
+		}
+	}
+}
+
+// simplexRelation draws n equality-key-sharing tuples whose local
+// attributes sum to 1.
+func simplexRelation(rng *rand.Rand, name string, n, local int) *Relation {
+	tuples := make([]Tuple, n)
+	for i := range tuples {
+		attrs := make([]float64, local)
+		s := 0.0
+		for j := range attrs {
+			attrs[j] = 0.01 + rng.Float64()
+			s += attrs[j]
+		}
+		for j := range attrs {
+			attrs[j] /= s
+		}
+		tuples[i] = Tuple{Key: "g", Band: float64(rng.Intn(8)), Attrs: attrs}
+	}
+	return MustNewRelation(name, local, 0, tuples)
 }

@@ -51,7 +51,7 @@ func streamSeq(ctx context.Context, q Query, opts Options, res *core.Resident) i
 		if opts.K > 0 {
 			q.K = opts.K
 		}
-		calg, err := resolveAlgorithm(ctx, q, opts, true)
+		calg, err := resolveAlgorithm(ctx, q, opts, true, res)
 		if err != nil {
 			yield(Pair{}, err)
 			return
