@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -152,6 +153,33 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("healthz: %v %v", resp.StatusCode, err)
 	}
 	resp.Body.Close()
+}
+
+// TestServerQueryWorkers: stats.workers reports the degree a computed
+// answer ran at — the service's choice when the body leaves workers
+// unset, exactly 1 when it asks for a serial run.
+func TestServerQueryWorkers(t *testing.T) {
+	srv := newTestServer(t)
+	for _, name := range []string{"r1", "r2"} {
+		postJSON(t, srv.URL+"/v1/relations", relationBody(name))
+	}
+	procs := float64(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		body   map[string]any
+		lo, hi float64
+	}{
+		{map[string]any{"r1": "r1", "r2": "r2", "k": 4, "no_cache": true}, 1, procs},
+		{map[string]any{"r1": "r1", "r2": "r2", "k": 4, "no_cache": true, "workers": 1}, 1, 1},
+	} {
+		resp, out := postJSON(t, srv.URL+"/v1/query", c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %v: status %d (%v)", c.body, resp.StatusCode, out)
+		}
+		stats, _ := out["stats"].(map[string]any)
+		if w, ok := stats["workers"].(float64); !ok || w < c.lo || w > c.hi {
+			t.Errorf("query %v: stats.workers = %v, want within [%v, %v]", c.body, stats["workers"], c.lo, c.hi)
+		}
+	}
 }
 
 func TestServerCSVLoad(t *testing.T) {

@@ -200,6 +200,10 @@ type Stats struct {
 	RemainingTime time.Duration
 	// Total is the end-to-end wall time.
 	Total time.Duration
+	// Workers is the degree the run executed at: ExecOptions.Workers for
+	// a parallel grouping run, 1 for every serial run and every other
+	// algorithm.
+	Workers int
 
 	// Categorization sizes (|SS|, |SN|, |NN| per relation).
 	SS1, SN1, NN1 int

@@ -104,6 +104,8 @@ func Exec(ctx context.Context, q Query, o ExecOptions) (*Result, error) {
 		compactAttrs(res.Skyline)
 	}
 	res.Stats.Total = time.Since(start)
+	// Only grouping reaches here with Workers > 1 (checked above).
+	res.Stats.Workers = max(1, o.Workers)
 	return res, nil
 }
 

@@ -92,6 +92,8 @@ type StatsJSON struct {
 	Candidates  int   `json:"candidates"`
 	YesEmitted  int   `json:"yes_emitted"`
 	DomTests    int64 `json:"domination_tests"`
+	// Workers is the degree the run executed at (1 = serial).
+	Workers int `json:"workers"`
 }
 
 // RegisterJSON is the wire form of a JSON relation registration.
@@ -340,6 +342,7 @@ func (h *handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Candidates:  st.Candidates,
 			YesEmitted:  st.YesEmitted,
 			DomTests:    st.DominationTests,
+			Workers:     st.Workers,
 		}
 	}
 	WriteJSON(w, http.StatusOK, out)

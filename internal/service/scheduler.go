@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -51,6 +52,17 @@ func (s *scheduler) acquire(ctx context.Context) (func(), error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// share is the execution degree of a request that holds a slot: the
+// machine's cores split evenly across the busy slots, this request's
+// included, and never less than one. A lone query gets every core; once
+// GOMAXPROCS or more slots are busy every query runs serially, so the
+// admitted work never asks for more goroutines than there are cores. The
+// degree is fixed for the request's lifetime; later arrivals do not
+// shrink it.
+func (s *scheduler) share() int {
+	return max(1, runtime.GOMAXPROCS(0)/max(1, s.busy()))
 }
 
 // queued reports how many requests are currently waiting for a slot.

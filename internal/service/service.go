@@ -151,13 +151,17 @@ type QueryRequest struct {
 	Join      string
 	Agg       string
 	Algorithm string
-	// Workers > 1 parallelizes candidate verification; the execution
-	// degree is clamped to GOMAXPROCS (requests arrive over the wire; an
-	// oversized degree must not spawn goroutines beyond the machine).
-	// The requested value implies the grouping algorithm: combined with
-	// "auto" the planner is skipped and grouping runs; combined with
-	// another explicit algorithm the request is rejected (same
-	// contradiction the CLI rejects).
+	// Workers is the verification degree. 0 leaves it to the service: a
+	// grouping run (planned, explicit, or the empty-join fallback)
+	// executes at the request's fair share of the cores, fixed at
+	// admission (GOMAXPROCS / busy slots, at least 1); other algorithms
+	// run serially. 1 (or less) forces a serial run. Workers > 1
+	// parallelizes candidate verification; the execution degree is
+	// clamped to GOMAXPROCS (requests arrive over the wire; an oversized
+	// degree must not spawn goroutines beyond the machine). A value > 1
+	// implies the grouping algorithm: combined with "auto" the planner is
+	// skipped and grouping runs; combined with another explicit algorithm
+	// the request is rejected (same contradiction the CLI rejects).
 	Workers int
 	// Timeout bounds this request (queue wait + execution); 0 defers to
 	// Config.DefaultTimeout, negative means no deadline.
@@ -666,6 +670,7 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 		return nil, err
 	}
 	defer release()
+	share := s.sched.share()
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -710,14 +715,21 @@ func (s *Service) Query(ctx context.Context, req QueryRequest) (*QueryResponse, 
 			alg = plan.Algorithm
 		}
 	}
+	// An unset degree gives a grouping run the admission-time fair share;
+	// the plan above never depends on it, and answers and DominationTests
+	// are identical at every degree.
+	workers := req.Workers
+	if workers == 0 && alg == core.Grouping {
+		workers = share
+	}
 	// The service's query path is built on the same prepared-state surface
 	// the ksjq.Prepared facade exposes: every run over resident relations
 	// goes through the snapshot's own Exec.
 	var out *core.Result
 	if res != nil {
-		out, err = res.Exec(ctx, q, core.ExecOptions{Algorithm: alg, Workers: req.Workers})
+		out, err = res.Exec(ctx, q, core.ExecOptions{Algorithm: alg, Workers: workers})
 	} else {
-		out, err = core.Exec(ctx, q, core.ExecOptions{Algorithm: alg, Workers: req.Workers})
+		out, err = core.Exec(ctx, q, core.ExecOptions{Algorithm: alg, Workers: workers})
 	}
 	if err != nil {
 		return nil, err

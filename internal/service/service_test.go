@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -404,6 +405,83 @@ func TestWorkersAutoImpliesGrouping(t *testing.T) {
 	}
 	if resp.Algorithm != "grouping" {
 		t.Errorf("auto+workers ran %q, want grouping", resp.Algorithm)
+	}
+}
+
+// TestAutoDegree: a request that leaves Workers unset runs a grouping
+// plan at the admission-time fair share — every core for a lone query —
+// with the answer and DominationTests of a forced serial run. An explicit
+// "grouping" gets the same share; the other algorithms run serially and
+// an unset degree never rejects them.
+func TestAutoDegree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := newTestService(t, Config{})
+	registerPair(t, s, 200)
+	ctx := context.Background()
+	// k=7 leaves ~900 candidates, so the largest cells go through the
+	// pool rather than staying on the coordinator.
+	const k = 7
+
+	auto, err := s.Query(ctx, QueryRequest{R1: "r1", R2: "r2", K: k, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.Algorithm != "grouping" {
+		t.Fatalf("planner picked %q; the test needs a grouping plan", auto.Algorithm)
+	}
+	if auto.Stats.Workers != 2 {
+		t.Errorf("lone auto query ran at degree %d, want 2", auto.Stats.Workers)
+	}
+	serial, err := s.Query(ctx, QueryRequest{R1: "r1", R2: "r2", K: k, NoCache: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.Algorithm != "grouping" || serial.Stats.Workers != 1 {
+		t.Errorf("workers=1 ran %q at degree %d, want grouping at 1", serial.Algorithm, serial.Stats.Workers)
+	}
+	assertPairsIdentical(t, "auto degree vs serial", auto.Skyline, serial.Skyline)
+	if auto.Stats.DominationTests != serial.Stats.DominationTests {
+		t.Errorf("DominationTests: auto degree %d, serial %d", auto.Stats.DominationTests, serial.Stats.DominationTests)
+	}
+
+	for alg, want := range map[string]int{"grouping": 2, "dominator": 1, "naive": 1} {
+		resp, err := s.Query(ctx, QueryRequest{R1: "r1", R2: "r2", K: k, Algorithm: alg, NoCache: true})
+		if err != nil {
+			t.Fatalf("%s with workers unset: %v", alg, err)
+		}
+		if resp.Stats.Workers != want {
+			t.Errorf("%s ran at degree %d, want %d", alg, resp.Stats.Workers, want)
+		}
+		assertPairsIdentical(t, alg, resp.Skyline, serial.Skyline)
+	}
+
+	// Concurrent queries split the cores between them: each runs at a
+	// degree in [1, GOMAXPROCS] with the serial run's answer and tests.
+	resps := make([]*QueryResponse, 4)
+	var wg sync.WaitGroup
+	for i := range resps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := s.Query(ctx, QueryRequest{R1: "r1", R2: "r2", K: k, NoCache: true})
+			if err != nil {
+				t.Error(err)
+			}
+			resps[i] = resp
+		}()
+	}
+	wg.Wait()
+	for i, resp := range resps {
+		if resp == nil {
+			continue
+		}
+		if w := resp.Stats.Workers; w < 1 || w > 2 {
+			t.Errorf("concurrent query %d ran at degree %d, want within [1, 2]", i, w)
+		}
+		if resp.Stats.DominationTests != serial.Stats.DominationTests {
+			t.Errorf("concurrent query %d: DominationTests %d, serial %d", i, resp.Stats.DominationTests, serial.Stats.DominationTests)
+		}
+		assertPairsIdentical(t, fmt.Sprintf("concurrent query %d", i), resp.Skyline, serial.Skyline)
 	}
 }
 
