@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/dataset"
 	"repro/internal/dom"
 	"repro/internal/join"
@@ -105,18 +103,12 @@ func Categorize(r *dataset.Relation, kPrime int, cond join.Condition, side Side)
 	groupDominated := make([]bool, n)
 	switch cond {
 	case join.Equality:
-		// Sort tuple indices by interned key symbol so every join group is
-		// one contiguous run — group iteration needs no maps or string
-		// hashing, and within a group the natural tuple order is preserved
-		// (stable sort). Group *order* differs from a string sort, but
-		// groups are disjoint so the categorization is unaffected.
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = i
-		}
-		sort.SliceStable(perm, func(a, b int) bool {
-			return r.KeyID(perm[a]) < r.KeyID(perm[b])
-		})
+		// Order tuple indices by interned key symbol so every join group
+		// is one contiguous run — group iteration needs no maps or string
+		// hashing, and within a group the natural tuple order is
+		// preserved. Group *order* differs from a string sort, but groups
+		// are disjoint so the categorization is unaffected.
+		perm := keyOrder(r)
 		for lo := 0; lo < n; {
 			hi := lo + 1
 			for hi < n && r.KeyID(perm[hi]) == r.KeyID(perm[lo]) {
@@ -169,6 +161,32 @@ func Categorize(r *dataset.Relation, kPrime int, cond join.Condition, side Side)
 		}
 	}
 	return c
+}
+
+// keyOrder returns r's row indices ordered by key symbol, rows of one
+// symbol in ascending index order — the stable sort by symbol, computed as
+// a counting sort in O(rows + symbols). Symbols no row uses any more (the
+// table keeps them after deletes) get empty buckets.
+func keyOrder(r *dataset.Relation) []int {
+	n := r.Len()
+	perm := make([]int, n)
+	if n == 0 {
+		return perm
+	}
+	// next[s] becomes the first slot of symbol s's run.
+	next := make([]int, r.Symbols().Len()+1)
+	for i := 0; i < n; i++ {
+		next[r.KeyID(i)+1]++
+	}
+	for s := 1; s < len(next); s++ {
+		next[s] += next[s-1]
+	}
+	for i := 0; i < n; i++ {
+		s := r.KeyID(i)
+		perm[next[s]] = i
+		next[s]++
+	}
+	return perm
 }
 
 // localLeqAtLeast reports whether x is preferred-or-equal to u on at least

@@ -219,9 +219,13 @@ type Stats struct {
 	// same on the streaming, blocked-kernel, and worker-pool paths —
 	// Workers and the blocked sweep change only the interleaving across
 	// candidates, never which tests run (target-set-pruned lefts are
-	// skipped uncounted on every path). Early stops (Emit returning false,
-	// Limit) end the run at path-dependent points and are the one source of
-	// count differences.
+	// skipped uncounted on every path). The kernel's target-set sweep
+	// skips partners outside τ(v) without running them, but charges each
+	// left it visits exactly what the per-pair loop would count there (the
+	// first dominator's partner index + 1, or every partner), so the count
+	// is unchanged. Early stops (Emit returning false, Limit) end the run
+	// at path-dependent points and are the one source of count
+	// differences.
 	DominationTests int64
 }
 

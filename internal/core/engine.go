@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"math/bits"
-	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/join"
@@ -35,9 +33,11 @@ type engine struct {
 	// sharing them across goroutines is safe.
 	allRightIx    *join.Index
 	allLeftSorted []int
-	// pts1/pts2 cache the relations' base attribute vectors for the probe
-	// orderings (built lazily, then read-only).
-	pts1, pts2 [][]float64
+	// ord1/ord2 are each side's local-attribute value orders (see
+	// buildOrders): the blocked kernel binary-searches them to build
+	// target-set bitsets. Built at most once per engine, like allRightIx,
+	// and read-only afterwards.
+	ord1, ord2 [][]int32
 	// kt caches the R1→R2 key-symbol translation shared by every equality
 	// index this engine builds (one per cell, one per dominator-set
 	// checker); built once on first use, read-only afterwards.
@@ -67,12 +67,14 @@ type engine struct {
 }
 
 // verifyScratch is the engine-owned scratch reused by every cell's batched
-// verification: the keep bitset and the backing arrays of the checker's
-// compacted per-left partner cache.
+// verification: the keep bitset, the backing arrays of the checker's
+// compacted per-left partner cache, and sweepTau's target-set bitsets
+// (per lane τ(u) and τ(v), their union, and the per-attribute hit sets).
 type verifyScratch struct {
-	keep     []uint64
-	plefts   []int32
-	partners [][]int
+	keep      []uint64
+	plefts    []int32
+	partners  [][]int
+	tau, attr []uint64
 }
 
 // keepBits returns the scratch keep bitset sized for n candidates with
@@ -130,18 +132,16 @@ func newEngine(q Query, stats *Stats) *engine {
 	return e
 }
 
-func (e *engine) points1() [][]float64 {
-	if e.pts1 == nil {
-		e.pts1 = basePoints(e.q.R1)
+// orders returns both sides' local-attribute value orders, building them
+// on first use.
+func (e *engine) orders() (ord1, ord2 [][]int32) {
+	if e.ord1 == nil {
+		e.ord1 = buildOrders(e.q.R1)
 	}
-	return e.pts1
-}
-
-func (e *engine) points2() [][]float64 {
-	if e.pts2 == nil {
-		e.pts2 = basePoints(e.q.R2)
+	if e.ord2 == nil {
+		e.ord2 = buildOrders(e.q.R2)
 	}
-	return e.pts2
+	return e.ord1, e.ord2
 }
 
 // rightProbeOrder returns the right list in the order the index should
@@ -151,7 +151,7 @@ func (e *engine) points2() [][]float64 {
 func (e *engine) rightProbeOrder(right []int) []int {
 	switch e.cond {
 	case join.Equality, join.Cross:
-		return sortBySum(e.points2(), right)
+		return sortBySum(e.at2, e.d2, right)
 	default:
 		return right
 	}
@@ -220,6 +220,11 @@ type checker struct {
 	// afterwards, so binds share it.
 	plefts    []int32
 	ppartners [][]int
+	// ord1/ord2 are the engine's value orders, attached by ensurePartners
+	// when the cell has more than tauSwitch probe lefts (so a block can
+	// reach the target-set switch); nil otherwise. Shared read-only by
+	// binds, so pool workers never build them.
+	ord1, ord2 [][]int32
 }
 
 // leftProbeOrder returns the left list sorted by ascending attribute sum,
@@ -228,17 +233,23 @@ type checker struct {
 // augmented target list A1 feeds two of the grouping cells).
 func (e *engine) leftProbeOrder(left []int) []int {
 	if len(left) == e.q.R1.Len() {
-		if e.allLeftSorted == nil {
-			e.allLeftSorted = sortBySum(e.points1(), allIndices(e.q.R1.Len()))
-		}
-		return e.allLeftSorted
+		return e.allLeftOrder()
 	}
 	if sameIDs(left, e.memoLeft) {
 		return e.memoLeftSorted
 	}
-	sorted := sortBySum(e.points1(), left)
+	sorted := sortBySum(e.at1, e.d1, left)
 	e.memoLeft, e.memoLeftSorted = left, sorted
 	return sorted
+}
+
+// allLeftOrder returns the sum-sorted probe order over all of R1, building
+// it on first use.
+func (e *engine) allLeftOrder() []int {
+	if e.allLeftSorted == nil {
+		e.allLeftSorted = sortBySum(e.at1, e.d1, allIndices(e.q.R1.Len()))
+	}
+	return e.allLeftSorted
 }
 
 // checkerRightIndex returns the probe-ordered checker index over the given
@@ -266,15 +277,23 @@ func (e *engine) newChecker(left, right []int) *checker {
 // read-only, so parallel workers bind one prebuilt checker instead of
 // rebuilding the index per worker.
 func (c *checker) bind(we *engine) *checker {
-	return &checker{e: we, left: c.left, ix: c.ix, plefts: c.plefts, ppartners: c.ppartners}
+	return &checker{e: we, left: c.left, ix: c.ix, plefts: c.plefts, ppartners: c.ppartners, ord1: c.ord1, ord2: c.ord2}
+}
+
+// fullChecker returns a checker over all of R1 × R2 — the membership and
+// foreign-vector verification checker.
+func (e *engine) fullChecker() *checker {
+	return &checker{e: e, left: e.allLeftOrder(), ix: e.rightAllIndex()}
 }
 
 // ensurePartners builds the blocked kernel's per-left probe cache: every
 // left tuple's partner list resolved once (one equality lookup or band
 // binary search each), compacted to the lefts that have any partner. The
 // backing arrays live in the engine scratch, so repeated cells allocate
-// nothing. Must be called on the cell's owning checker before verifyRange
-// (the coordinator does this before publishing work to the pool).
+// nothing. When the cache is longer than tauSwitch it also attaches the
+// engine's value orders (building them on first use). Must be called on
+// the cell's owning checker before verifyRange (the coordinator does this
+// before publishing work to the pool).
 func (c *checker) ensurePartners() {
 	if c.plefts != nil || len(c.left) == 0 {
 		return
@@ -293,6 +312,9 @@ func (c *checker) ensurePartners() {
 	}
 	e.scratch.plefts, e.scratch.partners = plefts, partners
 	c.plefts, c.ppartners = plefts, partners
+	if len(plefts) > tauSwitch {
+		c.ord1, c.ord2 = e.orders()
+	}
 }
 
 // dominates reports whether some join-compatible pair from the checker's
@@ -346,16 +368,30 @@ func (c *checker) dominates(cand []float64) bool {
 // cache-hot across the whole left sweep.
 const blockCands = 16
 
+// tauSwitch is how many probe lefts a block sweeps lane by lane before its
+// surviving candidates switch to target-set bitsets (sweepTau). Most
+// dominated candidates die within the first few lefts, where building the
+// bitsets would cost more than it saves; the survivors are the ones that
+// would otherwise scan every left and partner.
+const tauSwitch = 64
+
+// tauHook, when non-nil, is called each time a block switches to
+// target-set bitsets. Test instrumentation only; it may be called from
+// pool workers concurrently.
+var tauHook func()
+
 // verifyRange filters candidates[lo:hi) through the checker's blocked
-// kernel, clearing keep's bit for every k-dominated candidate. It visits
-// exactly the (left, partner) pairs the per-candidate dominates would —
-// for each candidate, lefts in probe order until the first dominator — so
-// results and domination-test counts are identical; only the sweep order
-// changes. Candidates are processed in blocks of blockCands: each block's
-// live set is one bit lane, the per-left x-section slice and partner list
-// come from the cache ensurePartners hoisted out of the sweep, and a block
-// whose lane empties stops scanning lefts immediately. Dead candidates
-// cost one mask test per block, not a per-candidate branch.
+// kernel, clearing keep's bit for every k-dominated candidate. It decides
+// exactly what the per-candidate dominates would — a candidate dies at its
+// first dominator in probe order — and counts exactly the tests dominates
+// would, so results and domination-test counts are identical; only the
+// sweep order changes. Candidates are processed in blocks of blockCands:
+// each block's live set is one bit lane, the per-left x-section slice and
+// partner list come from the cache ensurePartners hoisted out of the
+// sweep, and a block whose lane empties stops scanning lefts immediately.
+// Dead candidates cost one mask test per block, not a per-candidate
+// branch. Lanes still live after the first tauSwitch lefts finish through
+// sweepTau.
 //
 // lo must be block-aligned (the pool's chunks are multiples of 64, so
 // concurrent workers never share a keep word or a block). The context is
@@ -363,6 +399,10 @@ const blockCands = 16
 // sequential per-candidate checks.
 func (c *checker) verifyRange(ctx context.Context, candidates []join.Pair, lo, hi int, keep []uint64) error {
 	e := c.e
+	head := c.plefts
+	if len(head) > tauSwitch {
+		head = head[:tauSwitch]
+	}
 	for b0 := lo; b0 < hi; b0 += blockCands {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -380,7 +420,7 @@ func (c *checker) verifyRange(ctx context.Context, candidates []join.Pair, lo, h
 			continue
 		}
 		orig := m
-		for pi, i := range c.plefts {
+		for pi, i := range head {
 			x := e.at1[int(i)*e.d1 : int(i)*e.d1+e.d1]
 			partners := c.ppartners[pi]
 			rem := m
@@ -403,11 +443,162 @@ func (c *checker) verifyRange(ctx context.Context, candidates []join.Pair, lo, h
 				break
 			}
 		}
+		if m != 0 && len(head) < len(c.plefts) {
+			m = c.sweepTau(candidates[b0:b1], m)
+		}
 		if dead := orig ^ m; dead != 0 {
 			keep[word] &^= uint64(dead) << shift
 		}
 	}
 	return nil
+}
+
+// sweepTau finishes a block's left sweep from probe left tauSwitch on, for
+// the live lanes m of block. By the target-set theorem (Def 5, DESIGN §3)
+// every joined dominator of a candidate u⋈v lies in τ(u) ⋈ τ(v), so each
+// live lane gets two bitsets — τ(u) over R1 rows, τ(v) over R2 rows — and
+// the sweep skips lefts outside the union of the lanes' τ(u) and, per
+// lane, partners outside τ(v). The lefts a lane skips are exactly those
+// localPrefix rejects (no test is counted for them on any path); for a
+// left it keeps, the partners run through the uncounted tail test and the
+// lane is charged what checker.dominates would count at that left — the
+// first dominator's partner index + 1, or else every partner — since a
+// partner outside τ(v) can never complete a dominator.
+func (c *checker) sweepTau(block []join.Pair, m uint16) uint16 {
+	e := c.e
+	w1 := (e.q.R1.Len() + 63) / 64
+	w2 := (e.q.R2.Len() + 63) / 64
+	sc := &e.scratch
+	sc.tau = growWords(sc.tau, blockCands*(w1+w2)+w1)
+	sc.attr = growWords(sc.attr, max(e.l1*w1, e.l2*w2))
+	union := sc.tau[blockCands*(w1+w2):]
+	clear(union)
+	for rem := m; rem != 0; rem &= rem - 1 {
+		lane := bits.TrailingZeros16(rem)
+		cand := block[lane].Attrs
+		tu := sc.tau[lane*(w1+w2) : lane*(w1+w2)+w1]
+		tv := sc.tau[lane*(w1+w2)+w1 : (lane+1)*(w1+w2)]
+		tauBits(tu, c.ord1, e.at1, e.d1, cand[:e.l1], e.k1pp, sc.attr)
+		tauBits(tv, c.ord2, e.at2, e.d2, cand[e.l1:e.l1+e.l2], e.k2pp, sc.attr)
+		for w, b := range tu {
+			union[w] |= b
+		}
+	}
+	if tauHook != nil {
+		tauHook()
+	}
+	var tests int64
+	for pi := tauSwitch; pi < len(c.plefts); pi++ {
+		i := int(c.plefts[pi])
+		if union[i>>6]&(1<<(i&63)) == 0 {
+			continue
+		}
+		x := e.at1[i*e.d1 : i*e.d1+e.d1]
+		partners := c.ppartners[pi]
+		for rem := m; rem != 0; rem &= rem - 1 {
+			lane := bits.TrailingZeros16(rem)
+			base := lane * (w1 + w2)
+			if sc.tau[base+(i>>6)]&(1<<(i&63)) == 0 {
+				continue
+			}
+			tv := sc.tau[base+w1 : base+w1+w2]
+			cand := block[lane].Attrs
+			leq, strict, _ := localPrefix(x, cand, e.l1, e.k1pp)
+			n := len(partners)
+			for p, j := range partners {
+				if tv[j>>6]&(1<<(j&63)) != 0 && e.tailKDominates(x, j, leq, strict, cand) {
+					n = p + 1
+					m &^= 1 << lane
+					break
+				}
+			}
+			tests += int64(n)
+		}
+		if m == 0 {
+			break
+		}
+	}
+	e.stats.DominationTests += tests
+	return m
+}
+
+// growWords returns buf resized to n words, reallocating only when its
+// capacity is short. The contents are unspecified.
+func growWords(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	return buf[:n]
+}
+
+// tauBits writes into dst the target-set bitset of one candidate side: bit
+// x is set when row x's value is ≤ v[t] on at least kpp of the side's local
+// attributes t — exactly the rows localPrefix(x, v, len(v), kpp) accepts
+// (kpp ≤ 0 admits every row, kpp > len(v) none). Attribute t's hits are a
+// prefix of its value order ord[t], found by binary search with the same
+// ≤ comparison and set (or, past the median, cleared from all-ones) in one
+// scratch bitset per attribute; the per-attribute bitsets are then
+// combined word by word into an at-least-kpp count. attr is scratch for
+// len(ord) bitsets of len(dst) words.
+func tauBits(dst []uint64, ord [][]int32, at []float64, d int, v []float64, kpp int, attr []uint64) {
+	l, w := len(ord), len(dst)
+	if kpp <= 0 {
+		for i := range dst {
+			dst[i] = ^uint64(0)
+		}
+		return
+	}
+	if kpp > l {
+		clear(dst)
+		return
+	}
+	for t, o := range ord {
+		b := attr[t*w : (t+1)*w]
+		c := v[t]
+		lo, hi := 0, len(o)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if at[int(o[mid])*d+t] <= c {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo <= len(o)/2 {
+			clear(b)
+			for _, x := range o[:lo] {
+				b[x>>6] |= 1 << (x & 63)
+			}
+		} else {
+			for i := range b {
+				b[i] = ^uint64(0)
+			}
+			for _, x := range o[lo:] {
+				b[x>>6] &^= 1 << (x & 63)
+			}
+		}
+	}
+	// acc[j] holds the rows hit by at least j of the attributes folded in
+	// so far; acc[0] is every row.
+	var accBuf [8]uint64
+	acc := accBuf[:]
+	if kpp+1 > len(acc) {
+		acc = make([]uint64, kpp+1)
+	}
+	acc = acc[:kpp+1]
+	for i := range dst {
+		acc[0] = ^uint64(0)
+		for j := 1; j <= kpp; j++ {
+			acc[j] = 0
+		}
+		for t := 0; t < l; t++ {
+			b := attr[t*w+i]
+			for j := min(t+1, kpp); j >= 1; j-- {
+				acc[j] |= acc[j-1] & b
+			}
+		}
+		dst[i] = acc[kpp]
+	}
 }
 
 // verifyRangeScalar is the retained per-candidate ablation/oracle arm of
@@ -468,6 +659,12 @@ func (e *engine) pairKDominates(i, j int, cand []float64) bool {
 // attribute.
 func (e *engine) pairKDominatesTail(x []float64, j, leq int, strict bool, cand []float64) bool {
 	e.stats.DominationTests++
+	return e.tailKDominates(x, j, leq, strict, cand)
+}
+
+// tailKDominates is pairKDominatesTail without the test count: sweepTau
+// charges its tests in bulk.
+func (e *engine) tailKDominates(x []float64, j, leq int, strict bool, cand []float64) bool {
 	y := e.at2[j*e.d2 : j*e.d2+e.d2]
 	k := e.q.K
 	d := len(cand)
@@ -557,41 +754,18 @@ func allIndices(n int) []int {
 }
 
 // sortBySum returns a copy of idx ordered by ascending attribute sum of the
-// referenced points, so likely dominators are probed first; equal sums keep
-// their input order. Sums are precomputed into a flat entry slice — no map
-// lookups in the comparator.
-func sortBySum(pts [][]float64, idx []int) []int {
-	entries := make([]sumEntry, len(idx))
+// referenced rows of the flat row-major column at (row i is
+// at[i*d : (i+1)*d]), so likely dominators are probed first; equal sums
+// keep their input order — exactly the order a stable sort on sum
+// computes, here as a radix sort over the sums' keys.
+func sortBySum(at []float64, d int, idx []int) []int {
+	entries := make([]valEntry, len(idx))
 	for n, i := range idx {
-		entries[n] = sumEntry{pos: n, idx: i, sum: sumOf(pts[i])}
+		entries[n] = valEntry{key: valKey(sumOf(at[i*d : i*d+d])), id: int32(i)}
 	}
-	return sortEntriesBySum(entries)
-}
-
-// sumEntry is one row of a sum ordering: its position in the input list,
-// its row ID, and its attribute sum.
-type sumEntry struct {
-	pos, idx int
-	sum      float64
-}
-
-// sortEntriesBySum orders entries by ascending sum, breaking ties by input
-// position, and returns their row IDs in that order. The comparator mirrors
-// < on sum, so the result is exactly the order a stable sort on sum
-// computes — without sort.SliceStable's reflective swaps and extra passes.
-func sortEntriesBySum(entries []sumEntry) []int {
-	slices.SortFunc(entries, func(a, b sumEntry) int {
-		switch {
-		case a.sum < b.sum:
-			return -1
-		case b.sum < a.sum:
-			return 1
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	out := make([]int, len(entries))
-	for n := range entries {
-		out[n] = entries[n].idx
+	out := make([]int, len(idx))
+	for n, e := range radixSort(entries, make([]valEntry, len(idx))) {
+		out[n] = int(e.id)
 	}
 	return out
 }

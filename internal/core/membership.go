@@ -27,17 +27,18 @@ func Membership(q Query, pairs [][2]int) ([]bool, error) {
 	return MembershipContext(context.Background(), q, pairs)
 }
 
-// MembershipContext tests many joined pairs at once, sharing one checker
-// across probes. Each entry of pairs is a (R1 index, R2 index) pair; the
-// result slice is parallel to it. The context is checked between probe
-// batches, so a cancelled deadline aborts the scan with ctx.Err().
+// MembershipContext tests many joined pairs at once, running them as one
+// candidate list through the blocked verification kernel over the full
+// join. Each entry of pairs is a (R1 index, R2 index) pair; the result
+// slice is parallel to it. The context is polled once per candidate block,
+// so a cancelled deadline aborts the scan with ctx.Err().
 func MembershipContext(ctx context.Context, q Query, pairs [][2]int) ([]bool, error) {
 	return membershipContext(ctx, q, pairs, nil)
 }
 
 // membershipContext is the shared implementation behind MembershipContext
 // and Resident.Membership: res, when non-nil, seeds the probing engine
-// with the prebuilt join index and base-point tables.
+// with the prebuilt join index, probe order and value orders.
 func membershipContext(ctx context.Context, q Query, pairs [][2]int, res *Resident) ([]bool, error) {
 	if err := q.Validate(Grouping); err != nil {
 		return nil, err
@@ -53,16 +54,21 @@ func membershipContext(ctx context.Context, q Query, pairs [][2]int, res *Reside
 			return nil, fmt.Errorf("core: pair (%d,%d) is not join-compatible under %v", i, j, e.cond)
 		}
 	}
-	chk := e.newChecker(allIndices(q.R1.Len()), allIndices(q.R2.Len()))
+	w := q.Width()
 	agg := q.aggregator()
-	buf := make([]float64, 0, q.Width())
-	out := make([]bool, len(pairs))
+	arena := make([]float64, len(pairs)*w)
+	candidates := make([]join.Pair, len(pairs))
 	for n, pr := range pairs {
-		if n%cancelEvery == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		buf = join.CombineAt(q.R1, q.R2, pr[0], pr[1], agg, buf)
-		out[n] = !chk.dominates(buf)
+		attrs := join.CombineAt(q.R1, q.R2, pr[0], pr[1], agg, arena[n*w:n*w:n*w+w])
+		candidates[n] = join.Pair{Left: pr[0], Right: pr[1], Attrs: attrs}
+	}
+	keep, err := e.verifyFull(ctx, candidates)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, len(pairs))
+	for n := range out {
+		out[n] = keep[n>>6]&(uint64(1)<<uint(n&63)) != 0
 	}
 	return out, nil
 }
@@ -79,17 +85,18 @@ func AnyDominators(q Query, vectors [][]float64) ([]bool, error) {
 // originate from q's relations — this is the primitive a distributed
 // verifier uses to check foreign candidates against its local partition.
 // Every vector must have q.Width() attributes. The context is polled
-// between verification batches, so a cancelled deadline aborts the scan
-// with ctx.Err().
+// throughout the scan, so a cancelled deadline aborts it with ctx.Err().
 func AnyDominatorsContext(ctx context.Context, q Query, vectors [][]float64) ([]bool, error) {
 	return anyDominatorsContext(ctx, q, vectors, nil)
 }
 
 // anyDominatorsContext is the shared implementation behind
 // AnyDominatorsContext and Resident.AnyDominators: res, when non-nil,
-// seeds the checking engine with the prebuilt join index and base-point
-// tables. A strictly monotonic aggregator gets the target-set checker;
-// a non-strict one falls back to scanning the materialized join, where
+// seeds the checking engine with the prebuilt join index, probe order and
+// value orders. A strictly monotonic aggregator runs the vectors as one
+// candidate list through the blocked verification kernel (the same
+// kernel, target-set bitsets included, that verifies grouping cells); a
+// non-strict one falls back to scanning the materialized join, where
 // every joined vector is a potential dominator.
 func anyDominatorsContext(ctx context.Context, q Query, vectors [][]float64, res *Resident) ([]bool, error) {
 	strict := q.R1 == nil || q.R1.Agg == 0 || q.aggregator().Strict
@@ -110,15 +117,32 @@ func anyDominatorsContext(ctx context.Context, q Query, vectors [][]float64, res
 	}
 	st := Stats{}
 	e := newEngineResident(q, &st, res)
-	chk := e.newChecker(allIndices(q.R1.Len()), allIndices(q.R2.Len()))
-	out := make([]bool, len(vectors))
+	candidates := make([]join.Pair, len(vectors))
 	for i, v := range vectors {
-		if i%cancelEvery == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		out[i] = chk.dominates(v)
+		candidates[i].Attrs = v
+	}
+	keep, err := e.verifyFull(ctx, candidates)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]bool, len(vectors))
+	for i := range out {
+		out[i] = keep[i>>6]&(uint64(1)<<uint(i&63)) == 0
 	}
 	return out, nil
+}
+
+// verifyFull runs candidates through the blocked kernel against the whole
+// join R1 ⋈ R2 and returns the keep bitset: bit i is set when no joined
+// tuple k-dominates candidates[i]. The bitset is engine scratch.
+func (e *engine) verifyFull(ctx context.Context, candidates []join.Pair) ([]uint64, error) {
+	keep := e.keepBits(len(candidates))
+	if len(candidates) == 0 {
+		return keep, nil
+	}
+	chk := e.fullChecker()
+	chk.ensurePartners()
+	return keep, chk.verifyRange(ctx, candidates, 0, len(candidates), keep)
 }
 
 // anyDominatorsScan is the non-strict arm: target-set pruning relies on

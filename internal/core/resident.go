@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/join"
@@ -12,9 +11,10 @@ import (
 
 // Resident holds the per-(R1, R2, join condition) structures the engine
 // otherwise rebuilds on every Exec: the probe-ordered full-R2 join index,
-// the sum-sorted R1 probe order, and the two base-point tables. None of
-// them depend on k or on the aggregator, so one Resident serves every
-// query over the same relation pair and condition.
+// the sum-sorted R1 probe order, and both sides' local-attribute value
+// orders (the kernel's target-set bitsets search them). None of them
+// depend on k or on the aggregator, so one Resident serves every query
+// over the same relation pair and condition.
 //
 // A Resident is immutable after construction and safe to share across
 // concurrent Execs — it is the resident-relation reuse the service layer
@@ -32,7 +32,7 @@ type Resident struct {
 	cond       join.Condition
 	rightIx    *join.Index
 	leftSorted []int
-	pts1, pts2 [][]float64
+	ord1, ord2 [][]int32
 	// leftSums caches the attribute sums behind leftSorted's ordering,
 	// indexed by R1 row ID; built lazily by the first left-side Absorb so
 	// batch merges extend it instead of re-summing the whole relation.
@@ -74,8 +74,8 @@ func NewResident(q Query) (*Resident, error) {
 	st := Stats{}
 	e := newEngine(q, &st)
 	e.rightAllIndex()
-	e.leftProbeOrder(allIndices(q.R1.Len()))
-	e.points2()
+	e.allLeftOrder()
+	e.orders()
 	return &Resident{
 		r1:         q.R1,
 		r2:         q.R2,
@@ -84,8 +84,8 @@ func NewResident(q Query) (*Resident, error) {
 		cond:       e.cond,
 		rightIx:    e.allRightIx,
 		leftSorted: e.allLeftSorted,
-		pts1:       e.pts1,
-		pts2:       e.pts2,
+		ord1:       e.ord1,
+		ord2:       e.ord2,
 	}, nil
 }
 
@@ -95,10 +95,10 @@ func NewResident(q Query) (*Resident, error) {
 // left absorb merges the new rows into the sum-sorted probe order (a
 // stable merge of the sorted tail, reproducing exactly the ordering a
 // rebuild would compute); a right absorb extends the full-R2 join index in
-// place (join.Index.Extend). Both refresh the side's base-point views
-// (appending may have re-backed the attribute column) and advance the
-// recorded length, so the post-batch Resident serves queries without
-// ErrStaleResident at merge cost instead of rebuild cost.
+// place (join.Index.Extend). Both merge the sorted tail into the side's
+// value orders and advance the recorded length, so the post-batch
+// Resident serves queries without ErrStaleResident at merge cost instead
+// of rebuild cost.
 //
 // Absorb writes to structures concurrent Execs read: callers must exclude
 // it from readers exactly as they exclude relation mutation. For a
@@ -123,7 +123,7 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 	}
 	if side == Left {
 		r.leftSorted = mergeBySum(r.leftSorted, ids, r.extendLeftSums(ids))
-		r.pts1 = basePoints(r.r1)
+		absorbOrders(r.ord1, r.r1, ids)
 		r.n1 += len(ids)
 		return nil
 	}
@@ -132,10 +132,10 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 	// re-sorts by band anyway.
 	tail := ids
 	if r.cond == join.Equality || r.cond == join.Cross {
-		tail = sortBySum(basePoints(r.r2), ids)
+		tail = sortBySum(r.r2.FlatAttrs(), r.r2.D(), ids)
 	}
 	r.rightIx.Extend(tail)
-	r.pts2 = basePoints(r.r2)
+	absorbOrders(r.ord2, r.r2, ids)
 	r.n2 += len(ids)
 	return nil
 }
@@ -147,9 +147,9 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 // deleted rows out of the sum-sorted probe order and renumbers the
 // survivors (sums are untouched by a delete, so the filtered order is
 // exactly what a rebuild would sort); a right retract does the same to the
-// full-R2 join index (join.Index.Retract). Both refresh the side's
-// base-point views and shrink the recorded length. For a self-join retract
-// each side separately, exactly as with Absorb.
+// full-R2 join index (join.Index.Retract). Both filter and renumber the
+// side's value orders the same way and shrink the recorded length. For a
+// self-join retract each side separately, exactly as with Absorb.
 //
 // Like Absorb, Retract writes to structures concurrent Execs read: callers
 // must exclude it from readers.
@@ -170,15 +170,14 @@ func (r *Resident) Retract(side Side, ids []int) error {
 	if len(ids) == 0 {
 		return nil
 	}
+	to := renumbering(n, ids)
 	if side == Left {
 		w := 0
 		for _, id := range r.leftSorted {
-			j := sort.SearchInts(ids, id)
-			if j < len(ids) && ids[j] == id {
-				continue
+			if nid := to[id]; nid >= 0 {
+				r.leftSorted[w] = int(nid)
+				w++
 			}
-			r.leftSorted[w] = id - j
-			w++
 		}
 		r.leftSorted = r.leftSorted[:w]
 		if r.leftSums != nil {
@@ -193,12 +192,12 @@ func (r *Resident) Retract(side Side, ids []int) error {
 			}
 			r.leftSums = r.leftSums[:w]
 		}
-		r.pts1 = basePoints(r.r1)
+		retractOrders(r.ord1, to)
 		r.n1 -= len(ids)
 		return nil
 	}
 	r.rightIx.Retract(ids)
-	r.pts2 = basePoints(r.r2)
+	retractOrders(r.ord2, to)
 	r.n2 -= len(ids)
 	return nil
 }
@@ -232,19 +231,19 @@ func sumOf(v []float64) float64 {
 // ones in natural order, this is exactly the stable sort a from-scratch
 // rebuild computes.
 func mergeBySum(sorted, ids []int, sums []float64) []int {
-	entries := make([]sumEntry, len(ids))
+	entries := make([]valEntry, len(ids))
 	for n, id := range ids {
-		entries[n] = sumEntry{pos: n, idx: id, sum: sums[id]}
+		entries[n] = valEntry{key: valKey(sums[id]), id: int32(id)}
 	}
-	tail := sortEntriesBySum(entries)
+	tail := radixSort(entries, make([]valEntry, len(ids)))
 	merged := make([]int, len(sorted)+len(tail))
 	i, j := len(sorted)-1, len(tail)-1
 	for k := len(merged) - 1; k >= 0; k-- {
-		if j < 0 || (i >= 0 && sums[sorted[i]] > sums[tail[j]]) {
+		if j < 0 || (i >= 0 && sums[sorted[i]] > sums[tail[j].id]) {
 			merged[k] = sorted[i]
 			i--
 		} else {
-			merged[k] = tail[j]
+			merged[k] = int(tail[j].id)
 			j--
 		}
 	}
@@ -323,7 +322,8 @@ func (r *Resident) Membership(ctx context.Context, q Query, pairs [][2]int) ([]b
 func (r *Resident) RightIndex() *join.Index { return r.rightIx }
 
 // AnyDominators checks foreign candidate vectors against the resident
-// snapshot's partition, reusing r's join index and base-point tables; see
+// snapshot's partition, reusing r's join index, probe order and value
+// orders; see
 // AnyDominatorsContext. This is the verification-round primitive a shard
 // serves on behalf of its peers.
 func (r *Resident) AnyDominators(ctx context.Context, q Query, vectors [][]float64) ([]bool, error) {
@@ -338,8 +338,8 @@ func (r *Resident) AnyDominators(ctx context.Context, q Query, vectors [][]float
 func (r *Resident) seed(e *engine) {
 	e.allRightIx = r.rightIx
 	e.allLeftSorted = r.leftSorted
-	e.pts1 = r.pts1
-	e.pts2 = r.pts2
+	e.ord1 = r.ord1
+	e.ord2 = r.ord2
 }
 
 // newEngineResident is newEngine seeded from an optional Resident; res may

@@ -15,14 +15,17 @@ func TestSortBySumMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1202))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(300)
-		pts := make([][]float64, n)
+		// Rows of 1–4 attributes, zero-padded to a flat stride-4 column
+		// (padding leaves every sum unchanged).
+		const width = 4
+		flat := make([]float64, n*width)
 		sums := make([]float64, n)
-		for i := range pts {
-			pts[i] = make([]float64, 1+rng.Intn(4))
-			for j := range pts[i] {
-				pts[i][j] = float64(rng.Intn(3))
+		for i := 0; i < n; i++ {
+			row := flat[i*width : i*width+1+rng.Intn(width)]
+			for j := range row {
+				row[j] = float64(rng.Intn(3))
 			}
-			sums[i] = sumOf(pts[i])
+			sums[i] = sumOf(row)
 		}
 		stable := func(idx []int) []int {
 			want := slices.Clone(idx)
@@ -31,7 +34,7 @@ func TestSortBySumMatchesStableSort(t *testing.T) {
 		}
 
 		idx := rng.Perm(n)[:rng.Intn(n+1)]
-		if got, want := sortBySum(pts, idx), stable(idx); !slices.Equal(got, want) {
+		if got, want := sortBySum(flat, width, idx), stable(idx); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: sortBySum(%v) = %v, stable sort %v", trial, idx, got, want)
 		}
 
@@ -47,5 +50,40 @@ func TestSortBySumMatchesStableSort(t *testing.T) {
 		if got, want := mergeBySum(stable(all[:split]), tail, sums), stable(all); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: mergeBySum at split %d = %v, stable sort %v", trial, split, got, want)
 		}
+	}
+}
+
+// TestKeyOrderMatchesStableSort pins Categorize's counting sort to the
+// stable sort by key symbol it replaced, on relations with many symbols —
+// including symbols no row uses any more after deletes.
+func TestKeyOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1417))
+	sawUnused := false
+	for trial := 0; trial < 50; trial++ {
+		r := randRelation(rng, "r", 1+rng.Intn(400), 2, 0, 1+rng.Intn(200), 5)
+		if trial%2 == 1 {
+			ids := randSubset(rng, r.Len())
+			if len(ids) == r.Len() {
+				ids = ids[1:]
+			}
+			if err := r.DeleteBatch(ids); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := make([]int, r.Len())
+		used := map[int32]bool{}
+		for i := range want {
+			want[i] = i
+			used[r.KeyID(i)] = true
+		}
+		sawUnused = sawUnused || len(used) < r.Symbols().Len()
+		sort.SliceStable(want, func(a, b int) bool { return r.KeyID(want[a]) < r.KeyID(want[b]) })
+		if got := keyOrder(r); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d rows, %d symbols): keyOrder = %v, stable sort %v",
+				trial, r.Len(), r.Symbols().Len(), got, want)
+		}
+	}
+	if !sawUnused {
+		t.Fatal("no trial left a symbol unused; the deletes are too small")
 	}
 }

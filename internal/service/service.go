@@ -14,7 +14,7 @@
 //   - relations are registered once and versioned; every mutation goes
 //     through the service, so a (name, version) pair pins exact contents;
 //   - the engine's per-(pair, condition) structures (core.Resident: the
-//     full-R2 join index, probe orders, base-point tables) are built once
+//     full-R2 join index, probe orders, value orders) are built once
 //     and shared by every admitted query over that pair;
 //   - answers are cached under the normalized query (versions, condition,
 //     aggregator, k — algorithm is deliberately not part of the key, every

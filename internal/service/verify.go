@@ -42,7 +42,9 @@ type VerifyResponse struct {
 // Verify answers one verification-round request. It runs through the same
 // admission scheduler as Query and holds the read lock for the duration,
 // so votes are always consistent with one registry state. Strict
-// aggregators vote through the resident index's target-set checker;
+// aggregators vote through the resident snapshot: the vectors run as one
+// candidate list through the blocked verification kernel, target-set
+// bitsets over the resident's value orders included (DESIGN §10);
 // non-strict ones scan the materialized join (the same split
 // core.AnyDominatorsContext makes).
 func (s *Service) Verify(ctx context.Context, req VerifyRequest) (*VerifyResponse, error) {

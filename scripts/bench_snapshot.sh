@@ -25,7 +25,7 @@ pattern='^(BenchmarkFig1a|BenchmarkFig5a|BenchmarkAlgorithmGrouping|BenchmarkSer
 # Benchmarks tracked outside the root package: the scheduling acceptance
 # benchmark (ROADMAP item 3) lives with the verification kernel.
 extra_pkg='./internal/core'
-extra_pattern='^BenchmarkSkewedCell$'
+extra_pattern='^(BenchmarkSkewedCell|BenchmarkVerifyMaybeCell|BenchmarkAnyDominatorsShard)$'
 
 goversion=$(go version)
 loadavg=$(cut -d' ' -f1-3 /proc/loadavg 2>/dev/null || sysctl -n vm.loadavg 2>/dev/null || echo unknown)
