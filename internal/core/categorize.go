@@ -165,26 +165,18 @@ func Categorize(r *dataset.Relation, kPrime int, cond join.Condition, side Side)
 
 // keyOrder returns r's row indices ordered by key symbol, rows of one
 // symbol in ascending index order — the stable sort by symbol, computed as
-// a counting sort in O(rows + symbols). Symbols no row uses any more (the
-// table keeps them after deletes) get empty buckets.
+// a radix sort over the symbol IDs' bytes. The cost follows the live rows
+// only (one pass per byte in which their symbols differ), not the symbol
+// table, which keeps every symbol ever interned, deleted rows' included.
 func keyOrder(r *dataset.Relation) []int {
 	n := r.Len()
+	entries, tmp := make([]valEntry, n), make([]valEntry, n)
+	for i := range entries {
+		entries[i] = valEntry{key: uint64(uint32(r.KeyID(i))), id: int32(i)}
+	}
 	perm := make([]int, n)
-	if n == 0 {
-		return perm
-	}
-	// next[s] becomes the first slot of symbol s's run.
-	next := make([]int, r.Symbols().Len()+1)
-	for i := 0; i < n; i++ {
-		next[r.KeyID(i)+1]++
-	}
-	for s := 1; s < len(next); s++ {
-		next[s] += next[s-1]
-	}
-	for i := 0; i < n; i++ {
-		s := r.KeyID(i)
-		perm[next[s]] = i
-		next[s]++
+	for k, e := range radixSort(entries, tmp) {
+		perm[k] = int(e.id)
 	}
 	return perm
 }

@@ -35,9 +35,12 @@ type engine struct {
 	allLeftSorted []int
 	// ord1/ord2 are each side's local-attribute value orders (see
 	// buildOrders): the blocked kernel binary-searches them to build
-	// target-set bitsets. Built at most once per engine, like allRightIx,
-	// and read-only afterwards.
+	// target-set bitsets. Built (or taken from res) at most once per
+	// engine, like allRightIx, and read-only afterwards.
 	ord1, ord2 [][]int32
+	// res is the Resident the engine was seeded from, if any: the source
+	// of its value orders.
+	res *Resident
 	// kt caches the R1→R2 key-symbol translation shared by every equality
 	// index this engine builds (one per cell, one per dominator-set
 	// checker); built once on first use, read-only afterwards.
@@ -132,14 +135,15 @@ func newEngine(q Query, stats *Stats) *engine {
 	return e
 }
 
-// orders returns both sides' local-attribute value orders, building them
-// on first use.
+// orders returns both sides' local-attribute value orders, taking them
+// from the seeding Resident or building them on first use.
 func (e *engine) orders() (ord1, ord2 [][]int32) {
-	if e.ord1 == nil {
-		e.ord1 = buildOrders(e.q.R1)
-	}
-	if e.ord2 == nil {
-		e.ord2 = buildOrders(e.q.R2)
+	switch {
+	case e.ord1 != nil:
+	case e.res != nil:
+		e.ord1, e.ord2 = e.res.orders()
+	default:
+		e.ord1, e.ord2 = buildOrders(e.q.R1), buildOrders(e.q.R2)
 	}
 	return e.ord1, e.ord2
 }
@@ -375,11 +379,6 @@ const blockCands = 16
 // would otherwise scan every left and partner.
 const tauSwitch = 64
 
-// tauHook, when non-nil, is called each time a block switches to
-// target-set bitsets. Test instrumentation only; it may be called from
-// pool workers concurrently.
-var tauHook func()
-
 // verifyRange filters candidates[lo:hi) through the checker's blocked
 // kernel, clearing keep's bit for every k-dominated candidate. It decides
 // exactly what the per-candidate dominates would — a candidate dies at its
@@ -483,9 +482,6 @@ func (c *checker) sweepTau(block []join.Pair, m uint16) uint16 {
 		for w, b := range tu {
 			union[w] |= b
 		}
-	}
-	if tauHook != nil {
-		tauHook()
 	}
 	var tests int64
 	for pi := tauSwitch; pi < len(c.plefts); pi++ {

@@ -100,11 +100,10 @@ func buildOrders(r *dataset.Relation) [][]int32 {
 }
 
 // absorbOrders merges rows appended to r into its value orders in place.
-// ids must be the appended tail (consecutive, above every row already in
-// the orders), so on equal values every existing row sorts first and the
-// merge reproduces exactly what buildOrders computes over the grown
-// relation.
-func absorbOrders(ord [][]int32, r *dataset.Relation, ids []int) {
+// ids must be the appended tail (ascending, above every row already in the
+// orders), so on equal values every existing row sorts first and the merge
+// reproduces exactly what buildOrders computes over the grown relation.
+func absorbOrders(ord [][]int32, r *dataset.Relation, ids []int32) {
 	if len(ids) == 0 {
 		return
 	}
@@ -112,14 +111,10 @@ func absorbOrders(ord [][]int32, r *dataset.Relation, ids []int) {
 	entries, tmp := make([]valEntry, len(ids)), make([]valEntry, len(ids))
 	tail := make([]int32, len(ids))
 	for t, o := range ord {
-		sortedIDs(tail, entries, tmp, at, d, t, func(k int) int { return ids[k] })
+		sortedIDs(tail, entries, tmp, at, d, t, func(k int) int { return int(ids[k]) })
 		n := len(o)
 		o = slices.Grow(o, len(tail))[:n+len(tail)]
-		if len(tail)*16 < n {
-			gallopMerge(o, n, tail, at, d, t)
-		} else {
-			linearMerge(o, n, tail, at, d, t)
-		}
+		gallopMerge(o, n, tail, at, d, t)
 		ord[t] = o
 	}
 }
@@ -128,8 +123,9 @@ func absorbOrders(ord [][]int32, r *dataset.Relation, ids []int) {
 // with room for the tail behind it, from the back: each tail row, largest
 // first, lands above every remaining existing row whose value is ≤ its own
 // (existing rows win ties — their IDs are smaller), and the existing rows
-// above it shift up as one block. A batch far smaller than the relation
-// costs a few searches and block moves, not a pass over every row.
+// above it shift up as one block. Each existing row moves once, so a merge
+// costs O(n + m·log(n/m)) for a tail of m rows: a small batch costs a few
+// searches and block moves, not a pass over every row.
 func gallopMerge(o []int32, n int, tail []int32, at []float64, d, t int) {
 	hi := n
 	for j := len(tail) - 1; j >= 0; j-- {
@@ -138,27 +134,6 @@ func gallopMerge(o []int32, n int, tail []int32, at []float64, d, t int) {
 		o[p+j] = tail[j]
 		hi = p
 	}
-}
-
-// linearMerge is gallopMerge for a tail comparable in size to the
-// relation: one backward pass, each step reading only the value it has
-// just exposed.
-func linearMerge(o []int32, n int, tail []int32, at []float64, d, t int) {
-	i, j := n-1, len(tail)-1
-	vj := at[int(tail[j])*d+t]
-	for k := len(o) - 1; i >= 0; k-- {
-		if at[int(o[i])*d+t] > vj {
-			o[k] = o[i]
-			i--
-			continue
-		}
-		o[k] = tail[j]
-		if j--; j < 0 {
-			return
-		}
-		vj = at[int(tail[j])*d+t]
-	}
-	copy(o, tail[:j+1])
 }
 
 // upperBound returns the number of rows of the value order o (attribute t)
@@ -207,13 +182,19 @@ func renumbering(n int, ids []int) []int32 {
 // is exactly what buildOrders computes over the compacted relation.
 func retractOrders(ord [][]int32, to []int32) {
 	for t, o := range ord {
-		w := 0
-		for _, x := range o {
-			if y := to[x]; y >= 0 {
-				o[w] = y
-				w++
-			}
-		}
-		ord[t] = o[:w]
+		ord[t] = retractIDs(o, to)
 	}
+}
+
+// retractIDs filters deleted rows out of ids in place and renumbers the
+// survivors (to from renumbering), keeping their order.
+func retractIDs(ids, to []int32) []int32 {
+	w := 0
+	for _, x := range ids {
+		if y := to[x]; y >= 0 {
+			ids[w] = y
+			w++
+		}
+	}
+	return ids[:w]
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/join"
@@ -16,10 +17,13 @@ import (
 // depend on k or on the aggregator, so one Resident serves every query
 // over the same relation pair and condition.
 //
-// A Resident is immutable after construction and safe to share across
-// concurrent Execs — it is the resident-relation reuse the service layer
-// is built on: relations are loaded once, the index is built once, and
-// each admitted query skips straight to categorization and verification.
+// A Resident is safe to share across concurrent Execs — it is the
+// resident-relation reuse the service layer is built on: relations are
+// loaded once, the index is built once, and each admitted query skips
+// straight to categorization and verification. Only Absorb and Retract
+// change it (callers exclude them from readers), apart from the value
+// orders' deferred merge, which the first reader after an Absorb runs
+// under the Resident's own lock.
 //
 // A Resident is a snapshot: it is valid only while the relations it was
 // built from keep the exact contents (and lengths) they had at build time.
@@ -32,7 +36,17 @@ type Resident struct {
 	cond       join.Condition
 	rightIx    *join.Index
 	leftSorted []int
+	// ord1/ord2 are the value orders; pend1/pend2 the rows absorbed since
+	// they were last brought up to date (ascending, above every row the
+	// orders hold). Absorb only records the new rows; orders() merges them
+	// in when an Exec first needs the orders, so consecutive batches share
+	// one merge and a batch no query reaches the target-set sweep after
+	// never pays for one. ordMu guards all four against concurrent
+	// readers' merges.
+	ordMu      sync.Mutex
 	ord1, ord2 [][]int32
+	pend1      []int32
+	pend2      []int32
 	// leftSums caches the attribute sums behind leftSorted's ordering,
 	// indexed by R1 row ID; built lazily by the first left-side Absorb so
 	// batch merges extend it instead of re-summing the whole relation.
@@ -95,10 +109,10 @@ func NewResident(q Query) (*Resident, error) {
 // left absorb merges the new rows into the sum-sorted probe order (a
 // stable merge of the sorted tail, reproducing exactly the ordering a
 // rebuild would compute); a right absorb extends the full-R2 join index in
-// place (join.Index.Extend). Both merge the sorted tail into the side's
-// value orders and advance the recorded length, so the post-batch
-// Resident serves queries without ErrStaleResident at merge cost instead
-// of rebuild cost.
+// place (join.Index.Extend). Both queue the tail for the side's value
+// orders (merged on first use, see orders) and advance the recorded
+// length, so the post-batch Resident serves queries without
+// ErrStaleResident at merge cost instead of rebuild cost.
 //
 // Absorb writes to structures concurrent Execs read: callers must exclude
 // it from readers exactly as they exclude relation mutation. For a
@@ -123,7 +137,7 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 	}
 	if side == Left {
 		r.leftSorted = mergeBySum(r.leftSorted, ids, r.extendLeftSums(ids))
-		absorbOrders(r.ord1, r.r1, ids)
+		r.pend1 = appendIDs(r.pend1, ids)
 		r.n1 += len(ids)
 		return nil
 	}
@@ -135,7 +149,7 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 		tail = sortBySum(r.r2.FlatAttrs(), r.r2.D(), ids)
 	}
 	r.rightIx.Extend(tail)
-	absorbOrders(r.ord2, r.r2, ids)
+	r.pend2 = appendIDs(r.pend2, ids)
 	r.n2 += len(ids)
 	return nil
 }
@@ -148,7 +162,8 @@ func (r *Resident) Absorb(side Side, ids []int) error {
 // survivors (sums are untouched by a delete, so the filtered order is
 // exactly what a rebuild would sort); a right retract does the same to the
 // full-R2 join index (join.Index.Retract). Both filter and renumber the
-// side's value orders the same way and shrink the recorded length. For a
+// side's value orders and its not yet merged absorbed rows the same way
+// and shrink the recorded length. For a
 // self-join retract each side separately, exactly as with Absorb.
 //
 // Like Absorb, Retract writes to structures concurrent Execs read: callers
@@ -193,11 +208,13 @@ func (r *Resident) Retract(side Side, ids []int) error {
 			r.leftSums = r.leftSums[:w]
 		}
 		retractOrders(r.ord1, to)
+		r.pend1 = retractIDs(r.pend1, to)
 		r.n1 -= len(ids)
 		return nil
 	}
 	r.rightIx.Retract(ids)
 	retractOrders(r.ord2, to)
+	r.pend2 = retractIDs(r.pend2, to)
 	r.n2 -= len(ids)
 	return nil
 }
@@ -334,12 +351,34 @@ func (r *Resident) AnyDominators(ctx context.Context, q Query, vectors [][]float
 }
 
 // seed pre-loads an engine with the resident structures, skipping the
-// per-Exec index and probe-order construction.
+// per-Exec index and probe-order construction; the engine takes the value
+// orders from orders() only if a checker needs them.
 func (r *Resident) seed(e *engine) {
 	e.allRightIx = r.rightIx
 	e.allLeftSorted = r.leftSorted
-	e.ord1 = r.ord1
-	e.ord2 = r.ord2
+	e.res = r
+}
+
+// orders returns both sides' value orders, first merging in the rows
+// absorbed since the last call. Callers read the result without the lock:
+// it changes again only through Absorb/Retract, which callers exclude
+// from readers, and the merge of a later Absorb's rows, which runs before
+// any reader after that Absorb receives the orders.
+func (r *Resident) orders() (ord1, ord2 [][]int32) {
+	r.ordMu.Lock()
+	defer r.ordMu.Unlock()
+	absorbOrders(r.ord1, r.r1, r.pend1)
+	absorbOrders(r.ord2, r.r2, r.pend2)
+	r.pend1, r.pend2 = r.pend1[:0], r.pend2[:0]
+	return r.ord1, r.ord2
+}
+
+// appendIDs appends row IDs to an int32 ID list.
+func appendIDs(dst []int32, ids []int) []int32 {
+	for _, id := range ids {
+		dst = append(dst, int32(id))
+	}
+	return dst
 }
 
 // newEngineResident is newEngine seeded from an optional Resident; res may

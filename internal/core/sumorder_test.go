@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // TestSortBySumMatchesStableSort pins the probe orders to the stable sort
@@ -53,9 +57,11 @@ func TestSortBySumMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestKeyOrderMatchesStableSort pins Categorize's counting sort to the
+// TestKeyOrderMatchesStableSort pins Categorize's radix sort to the
 // stable sort by key symbol it replaced, on relations with many symbols —
-// including symbols no row uses any more after deletes.
+// including symbols no row uses any more after deletes — and bounds its
+// allocation by the live rows on a relation whose symbol table is three
+// orders of magnitude larger than its row count.
 func TestKeyOrderMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1417))
 	sawUnused := false
@@ -85,5 +91,27 @@ func TestKeyOrderMatchesStableSort(t *testing.T) {
 	}
 	if !sawUnused {
 		t.Fatal("no trial left a symbol unused; the deletes are too small")
+	}
+
+	const live, dead = 40, 70000
+	tuples := make([]dataset.Tuple, live+dead)
+	for i := range tuples {
+		tuples[i] = dataset.Tuple{Key: fmt.Sprintf("k%d", i%(dead+live/2)), Attrs: []float64{float64(i)}}
+	}
+	r := dataset.MustNew("r", 1, 0, tuples)
+	if err := r.DeleteBatch(allIndices(dead)); err != nil {
+		t.Fatal(err)
+	}
+	want := allIndices(r.Len())
+	sort.SliceStable(want, func(a, b int) bool { return r.KeyID(want[a]) < r.KeyID(want[b]) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := keyOrder(r)
+	runtime.ReadMemStats(&after)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d rows, %d symbols: keyOrder = %v, stable sort %v", r.Len(), r.Symbols().Len(), got, want)
+	}
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 16<<10 {
+		t.Fatalf("keyOrder over %d rows and %d symbols allocated %d bytes", r.Len(), r.Symbols().Len(), bytes)
 	}
 }
